@@ -53,9 +53,16 @@ def xtime(a: int) -> int:
 
 
 def mul(a: int, b: int) -> int:
-    """Carry-less product of ``a`` and ``b`` reduced mod the pentanomial."""
+    """Carry-less product of ``a`` and ``b`` reduced mod the pentanomial.
+
+    The loop runs once per bit of ``b``, so when both operands fit in
+    64 bits the smaller one is iterated (the field is commutative): a Q
+    update by ``x^j`` takes ``j + 1`` steps instead of 64.
+    """
     result = 0
     a &= MASK64
+    if a < b <= MASK64:
+        a, b = b, a
     while b:
         if b & 1:
             result ^= a

@@ -60,8 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--only",
         metavar="NAME[,NAME...]",
+        action="append",
         default=None,
-        help=f"run a subset; choose from: {', '.join(benchmark_names())}",
+        help=(
+            "run a subset (repeatable, comma-separated); choose from: "
+            f"{', '.join(benchmark_names())}"
+        ),
     )
     parser.add_argument(
         "--out",
@@ -88,15 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed throughput drop before --check fails (default: 0.25)",
     )
     parser.add_argument(
-        "--disk-kernel",
-        default=None,
-        choices=["auto", "scalar", "vectorized"],
-        help=(
-            "disk service-time kernel for this run (sets REPRO_DISK_KERNEL; "
-            "both paths are bit-identical, this only moves wall-clock)"
-        ),
-    )
-    parser.add_argument(
         "--write-baseline",
         metavar="PATH",
         default=None,
@@ -110,15 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.disk_kernel:
-        # Benchmarks read the switch through kernel_mode(); setting the
-        # environment variable scopes the choice to this process.
-        import os
-
-        from repro.disk.vectorized import ENV_VAR
-
-        os.environ[ENV_VAR] = args.disk_kernel
-    only = tuple(args.only.split(",")) if args.only else None
+    only = (
+        tuple(name for group in args.only for name in group.split(","))
+        if args.only
+        else None
+    )
     try:
         options = BenchOptions(scale=args.scale, repeat=args.repeat, only=only)
     except ValueError as error:

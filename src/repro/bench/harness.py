@@ -10,7 +10,6 @@ import pathlib
 import typing
 from dataclasses import dataclass
 
-from repro.bench.diskperf import DISK_BENCHMARKS
 from repro.bench.envinfo import environment_fingerprint
 from repro.bench.layoutperf import LAYOUT_BENCHMARKS
 from repro.bench.macro import MACRO_BENCHMARKS
@@ -19,13 +18,8 @@ from repro.bench.schema import SCHEMA_ID, validate_document
 
 
 def benchmark_names() -> typing.List[str]:
-    """Every runnable benchmark: micro, then disk, then layout, then macro."""
-    return (
-        list(MICRO_BENCHMARKS)
-        + list(DISK_BENCHMARKS)
-        + list(LAYOUT_BENCHMARKS)
-        + list(MACRO_BENCHMARKS)
-    )
+    """Every runnable benchmark: micro, then layout, then macro."""
+    return list(MICRO_BENCHMARKS) + list(LAYOUT_BENCHMARKS) + list(MACRO_BENCHMARKS)
 
 
 @dataclass(frozen=True)
@@ -58,8 +52,6 @@ class BenchOptions:
 def _run_one(name: str, scale: str) -> typing.Dict[str, float]:
     if name in MICRO_BENCHMARKS:
         return MICRO_BENCHMARKS[name]()
-    if name in DISK_BENCHMARKS:
-        return DISK_BENCHMARKS[name]()
     if name in LAYOUT_BENCHMARKS:
         return LAYOUT_BENCHMARKS[name]()
     return MACRO_BENCHMARKS[name](scale)

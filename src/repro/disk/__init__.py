@@ -16,9 +16,14 @@ geometry) keep tests and benchmarks fast.
 from repro.disk.specs import IBM_0661, DiskSpec, scaled_spec
 from repro.disk.geometry import DiskGeometry, SectorRange
 from repro.disk.seek import SeekModel
-from repro.disk.drive import Disk, DiskRequest, DiskStats, service_components
+from repro.disk.drive import (
+    Disk,
+    DiskRequest,
+    DiskStats,
+    queue_service_times,
+    service_components,
+)
 from repro.disk.constant import ConstantRateDisk
-from repro.disk.vectorized import kernel_mode, service_times
 
 __all__ = [
     "ConstantRateDisk",
@@ -30,8 +35,7 @@ __all__ = [
     "IBM_0661",
     "SectorRange",
     "SeekModel",
-    "kernel_mode",
+    "queue_service_times",
     "scaled_spec",
     "service_components",
-    "service_times",
 ]

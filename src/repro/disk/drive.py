@@ -45,12 +45,9 @@ def service_components(
 ) -> typing.Tuple[float, float, float, float, int, int]:
     """Pure scalar service-time math for one request's track runs.
 
-    This is the **reference implementation** of the disk service-time
-    kernel: the batch path in :mod:`repro.disk.vectorized` must
-    reproduce its results bit-for-bit (pinned by the property tests in
-    ``tests/disk/test_vectorized.py``), so any change to the arithmetic
-    here — including operation *order*, which decides float rounding —
-    must be mirrored there.
+    Per run the clock takes the seek (or head switch), then the
+    rotational wait, then the transfer; :func:`queue_service_times`
+    prices SPTF candidates with the same adds in the same order.
 
     Returns ``(service_ms, seek_ms, rotation_ms, transfer_ms,
     head_cylinder, direction)`` where the last two are the head state
@@ -91,6 +88,46 @@ def service_components(
         current_cylinder,
         direction,
     )
+
+
+def queue_service_times(
+    requests: typing.Iterable,
+    head_cylinder: int,
+    start_ms: float,
+    split_by_track: typing.Callable[[int, int], typing.Sequence],
+    seek_table: typing.Sequence[float],
+    sector_time_ms: float,
+    sectors_per_track: int,
+    head_switch_ms: float,
+) -> typing.List[float]:
+    """Service time of each queued request, were it serviced next.
+
+    Every candidate is priced from the same head cylinder and platter
+    phase. The result equals ``service_components(...)[0]`` per request
+    bit for bit (pinned by ``tests/disk/test_sptf.py``): one loop with
+    the seek table indexed directly and no per-candidate call.
+    """
+    snap = sectors_per_track - 1e-6
+    times = []
+    for request in requests:
+        clock = start_ms
+        cylinder = head_cylinder
+        first = True
+        for run in split_by_track(request.start_sector, request.sector_count):
+            if run.cylinder != cylinder:
+                clock += seek_table[abs(run.cylinder - cylinder)]
+                cylinder = run.cylinder
+            elif not first:
+                clock += head_switch_ms
+            first = False
+            position = (clock / sector_time_ms) % sectors_per_track
+            slots_to_wait = (run.rotational_start - position) % sectors_per_track
+            if slots_to_wait > snap:
+                slots_to_wait = 0.0
+            clock += slots_to_wait * sector_time_ms
+            clock += run.count * sector_time_ms
+        times.append(clock - start_ms)
+    return times
 
 
 class DiskRequest:

@@ -36,8 +36,9 @@ def make_scheduler(policy: str, cylinders: int) -> Scheduler:
     policy:
         One of ``"fifo"``, ``"sstf"``, ``"sptf"``, ``"look"``,
         ``"cvscan"``. SPTF prices every queued candidate's full
-        physical service time through the batch kernel
-        (:mod:`repro.disk.vectorized`) and needs a drive bound via
+        physical service time
+        (:func:`repro.disk.drive.queue_service_times`) and needs a
+        drive bound via
         ``bind_disk`` — :class:`~repro.disk.drive.Disk` does this
         automatically for any scheduler exposing the hook.
     cylinders:

@@ -8,42 +8,45 @@ the same order of magnitude as a short seek on the paper's drives, so
 SPTF finds wins SSTF cannot see (a slightly farther cylinder whose
 target sector is about to rotate under the head).
 
-Pricing the whole queue per pop is exactly the batch shape the
-vectorized service-time kernel (:mod:`repro.disk.vectorized`) exists
-for: every queued candidate is one lane of a single evaluation. The
-scalar/vectorized switch (``REPRO_DISK_KERNEL``) changes wall-clock
-only — both paths return bit-identical times, hence identical pops,
-hence identical simulations.
+Each pop prices the whole queue in one scalar loop,
+:func:`repro.disk.drive.queue_service_times`, which returns exactly the
+times :func:`~repro.disk.drive.service_components` would.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro.disk.drive import queue_service_times
 from repro.disk.scheduling.base import Scheduler
-from repro.disk.vectorized import model_for, service_times
 
 
 class SptfScheduler(Scheduler):
     """Service the queued request with the smallest physical service time.
 
     Ties break toward the earlier arrival: the queue is kept in arrival
-    order and the scan below takes the first strict minimum — the same
-    request either kernel path selects, since their times agree
-    bit-for-bit. Requires :meth:`bind_disk` (the drive's spec, clock,
-    and head state price the candidates); :class:`~repro.disk.drive.Disk`
-    binds any scheduler that asks during construction.
+    order and the pop takes the first strict minimum. Requires
+    :meth:`bind_disk` (the drive's geometry, seek table, clock and spec
+    price the candidates); :class:`~repro.disk.drive.Disk` binds any
+    scheduler that asks during construction.
     """
 
     def __init__(self):
         self._queue: typing.List = []
         self._disk = None
-        self._model = None
+        self._pricing: typing.Tuple = ()
 
     def bind_disk(self, disk) -> None:
         """Attach the drive whose physical state prices candidates."""
         self._disk = disk
-        self._model = model_for(disk.spec)
+        spec = disk.spec
+        self._pricing = (
+            disk.geometry.split_by_track,
+            disk.seek_model.table,
+            spec.sector_time_ms,
+            spec.sectors_per_track,
+            spec.head_switch_ms,
+        )
 
     def push(self, request) -> None:
         self._queue.append(request)
@@ -58,15 +61,10 @@ class SptfScheduler(Scheduler):
                 "SptfScheduler needs bind_disk() before pop() — construct it "
                 "through make_scheduler()/Disk, which bind automatically"
             )
-        times = service_times(self._model, head_cylinder, disk.env.now, queue)
-        best = 0
-        best_time = times[0]
-        for index in range(1, len(queue)):
-            candidate = times[index]
-            if candidate < best_time:
-                best = index
-                best_time = candidate
-        return queue.pop(best)
+        times = queue_service_times(queue, head_cylinder, disk.env.now, *self._pricing)
+        # min() keeps the first of equal values, index() finds the first
+        # occurrence: together, the first strict minimum in arrival order.
+        return queue.pop(times.index(min(times)))
 
     def __len__(self) -> int:
         return len(self._queue)

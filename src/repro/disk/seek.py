@@ -85,8 +85,8 @@ class SeekModel:
     def table(self) -> tuple:
         """The distance-indexed lookup table (``table[d]`` = seek ms).
 
-        Exposed for the vectorized service-time kernel, which loads it
-        into a numpy array once per spec — same floats, same bits.
+        Exposed for SPTF pricing, which indexes it directly instead of
+        calling :meth:`seek_time` per candidate — same floats, same bits.
         """
         return tuple(self._table)
 

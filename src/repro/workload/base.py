@@ -8,6 +8,7 @@ contents when the controller carries a data store.
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.array.controller import ArrayController
@@ -32,6 +33,15 @@ class WorkloadBase:
         self.verify = controller.datastore is not None
         self._expected: typing.Dict[int, int] = {}
         self._inflight_writes: typing.Dict[int, int] = {}
+        #: Submit time of each in-flight read, keyed by request id, in
+        #: submission order: the first entry is the oldest read.
+        self._inflight_reads: typing.Dict[int, float] = {}
+        #: ``(complete_ms, unit, replaced value)`` of each unit write that
+        #: completed while a read was in flight, in completion order
+        #: (value None: the initial pattern).
+        self._superseded: typing.Deque[
+            typing.Tuple[float, int, typing.Optional[int]]
+        ] = collections.deque()
         self._verification_paused_until = -1.0
         self._stopped = False
         self._generator_done = False
@@ -86,6 +96,8 @@ class WorkloadBase:
         )
         self.submitted += 1
         done = self.controller.submit(request)
+        if self.verify and not is_write:
+            self._inflight_reads[id(request)] = request.submit_ms
         self.controller.env.process(
             self._await_completion(request, done), name="workload-complete"
         )
@@ -106,8 +118,30 @@ class WorkloadBase:
     # Verification bookkeeping
     # ------------------------------------------------------------------
     def _account(self, request: UserRequest) -> None:
+        """Check a completed read, or record a completed write.
+
+        A read may return the unit's value at its submission or the
+        value of any write whose lifetime overlapped the read's. While a
+        write to the unit is still in flight, any value is accepted. A
+        write that completed during the read (even at the read's own
+        completion instant) leaves the value it replaced in
+        ``_superseded``, so that value is accepted too.
+        """
         if request.is_write:
+            # The oldest in-flight read was submitted first (dicts keep
+            # insertion order); no read can accept a value replaced
+            # before it.
+            oldest_read_ms = next(iter(self._inflight_reads.values()), None)
+            superseded = self._superseded
+            while superseded and (
+                oldest_read_ms is None or superseded[0][0] < oldest_read_ms
+            ):
+                superseded.popleft()
             for i, unit in enumerate(request.units()):
+                if oldest_read_ms is not None:
+                    superseded.append(
+                        (request.complete_ms, unit, self._expected.get(unit))
+                    )
                 self._expected[unit] = request.values[i]
                 remaining = self._inflight_writes.get(unit, 0) - 1
                 if remaining <= 0:
@@ -115,19 +149,31 @@ class WorkloadBase:
                 else:
                     self._inflight_writes[unit] = remaining
             return
+        self._inflight_reads.pop(id(request), None)
         if request.submit_ms < self._verification_paused_until:
             return
         for i, unit in enumerate(request.units()):
             if unit in self._inflight_writes:
                 continue  # racing write: either value is legitimate
-            expected = self._expected.get(unit)
-            if expected is None:
-                # Never written: the unit must still hold its initial pattern.
-                address = self.controller.addressing.logical_unit_address(unit)
-                expected = initial_data_pattern(address.disk, address.offset)
+            expected = self._value_or_initial(unit, self._expected.get(unit))
             actual = request.read_values[i]
-            if actual != expected:
-                self.integrity_errors.append(
-                    f"unit {unit}: read {actual:#x}, expected {expected:#x} "
-                    f"(completed at {request.complete_ms:.3f} ms)"
-                )
+            if actual == expected:
+                continue
+            if any(
+                done_unit == unit
+                and done_ms >= request.submit_ms
+                and self._value_or_initial(unit, value) == actual
+                for done_ms, done_unit, value in self._superseded
+            ):
+                continue  # the value a write overlapping this read replaced
+            self.integrity_errors.append(
+                f"unit {unit}: read {actual:#x}, expected {expected:#x} "
+                f"(completed at {request.complete_ms:.3f} ms)"
+            )
+
+    def _value_or_initial(self, unit: int, value: typing.Optional[int]) -> int:
+        if value is not None:
+            return value
+        # Never written: the unit must still hold its initial pattern.
+        address = self.controller.addressing.logical_unit_address(unit)
+        return initial_data_pattern(address.disk, address.offset)

@@ -30,6 +30,24 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
+def _schoolbook_mul(a: int, b: int) -> int:
+    """Frozen reference: shift-and-xtime over every bit of ``b``.
+
+    ``gf.mul`` may pick which operand to iterate; this one never does,
+    so it pins the product independently of that choice.
+    """
+    result = 0
+    a &= gf.MASK64
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a >> 64:
+            a ^= gf.POLY
+    return result
+
+
 class TestReductionPolynomial:
     def test_pentanomial_is_irreducible(self):
         """x^(2^64) == x mod f and gcd(x^(2^32) ^ x, f) == 1.
@@ -65,6 +83,30 @@ class TestFieldAxioms:
             a, b, c = (rng.getrandbits(64) for _ in range(3))
             assert gf.mul(a, b) == gf.mul(b, a)
             assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
+
+    def test_mul_matches_schoolbook_reference(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            a, b = rng.getrandbits(64), rng.getrandbits(64)
+            assert gf.mul(a, b) == _schoolbook_mul(a, b)
+
+    def test_sparse_operand_either_side_matches_reference(self):
+        rng = random.Random(8)
+        for j in range(21):
+            x_j = gf.x_pow(j)
+            for v in (0, 1, gf.MASK64, rng.getrandbits(64), rng.getrandbits(8)):
+                assert gf.mul(x_j, v) == _schoolbook_mul(x_j, v)
+                assert gf.mul(v, x_j) == _schoolbook_mul(v, x_j)
+
+    def test_wide_b_takes_unswapped_path(self):
+        # b wider than 64 bits is never swapped: every bit is iterated
+        # and the product is reduced, i.e. a * (b mod f).
+        rng = random.Random(9)
+        for _ in range(20):
+            a = rng.getrandbits(64)
+            b = rng.getrandbits(100) | (1 << 99)
+            assert gf.mul(a, b) == _schoolbook_mul(a, b)
+            assert gf.mul(a, b) == _poly_mulmod(a, b, gf.POLY)
 
     def test_distributive_over_xor(self):
         rng = random.Random(3)

@@ -15,7 +15,6 @@ def stub_registries(monkeypatch):
         return {"events": 10.0, "wall_s": 0.01, "events_per_s": rate_box["rate"]}
 
     monkeypatch.setattr(harness, "MICRO_BENCHMARKS", {"kernel.stub": stub_micro})
-    monkeypatch.setattr(harness, "DISK_BENCHMARKS", {})
     monkeypatch.setattr(harness, "LAYOUT_BENCHMARKS", {})
     monkeypatch.setattr(harness, "MACRO_BENCHMARKS", {})
     return rate_box
@@ -78,6 +77,33 @@ class TestBenchCli:
     def test_unknown_only_name_is_usage_error(self, stub_registries, capsys):
         assert run_cli(["--only", "kernel.nope", "--no-write"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "only_args",
+        [
+            ["--only", "kernel.a", "--only", "kernel.b"],
+            ["--only", "kernel.a,kernel.b"],
+            ["--only", "kernel.b", "--only", "kernel.a,kernel.c"],
+        ],
+    )
+    def test_repeated_and_comma_separated_only_accumulate(
+        self, stub_registries, monkeypatch, only_args
+    ):
+        ran = []
+
+        def stub(name):
+            def run():
+                ran.append(name)
+                return {"events": 10.0, "wall_s": 0.01, "events_per_s": 1000.0}
+
+            return run
+
+        monkeypatch.setattr(harness, "MICRO_BENCHMARKS", {
+            name: stub(name) for name in ("kernel.a", "kernel.b", "kernel.c")
+        })
+        assert run_cli(only_args + ["--repeat", "1", "--no-write"]) == 0
+        expected = sorted({n for a in only_args[1::2] for n in a.split(",")})
+        assert ran == expected
 
     def test_repro_cli_routes_bench_subcommand(self, stub_registries, tmp_path, monkeypatch):
         from repro import cli as top_cli

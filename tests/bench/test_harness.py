@@ -30,7 +30,6 @@ def stub_registries(monkeypatch):
         return {"wall_s": 1.0, "ios_per_s": 42.0}
 
     monkeypatch.setattr(harness, "MICRO_BENCHMARKS", {"kernel.stub": stub_micro})
-    monkeypatch.setattr(harness, "DISK_BENCHMARKS", {})
     monkeypatch.setattr(harness, "LAYOUT_BENCHMARKS", {})
     monkeypatch.setattr(harness, "MACRO_BENCHMARKS", {"macro.stub": stub_macro})
     return calls
@@ -119,14 +118,6 @@ class TestRealSuitesSmoke:
             assert entry["events"] > 0
             assert entry["wall_s"] >= 0
             assert entry["events_per_s"] > 0
-
-    def test_disk_benchmark_reports_both_paths(self):
-        from repro.bench.diskperf import service_batch
-
-        entry = service_batch(batch_size=8, evaluations=2)
-        assert entry["requests"] == 16
-        assert entry["requests_per_s"] > 0
-        assert entry["scalar_requests_per_s"] > 0
 
     def test_registry_names_match_modules(self):
         names = benchmark_names()
