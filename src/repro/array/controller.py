@@ -39,7 +39,7 @@ from repro.array.datastore import DataStore
 from repro.array.faults import ArrayFaults
 from repro.array.locks import StripeLockTable
 from repro.array.requests import UserRequest
-from repro.disk.drive import KIND_USER, Disk
+from repro.disk.drive import KIND_USER, Disk, DiskRequest
 from repro.faults.log import (
     DATA_LOSS,
     DATA_LOSS_ACCESS,
@@ -165,10 +165,6 @@ class ArrayController:
             for disk in self.disks:
                 self._attach_fault_state(disk)
 
-    @property
-    def _fault_enabled(self) -> bool:
-        return self.fault_profile is not None
-
     def _instrument_disk(self, disk: Disk) -> None:
         """Apply the measurement boundary (and any gauges) to a disk.
 
@@ -203,7 +199,7 @@ class ArrayController:
         doubly-exposed stripes take the accounted ``data-loss`` path
         instead of crashing the simulation.
         """
-        if not self.faults.can_absorb and self._fault_enabled:
+        if not self.faults.can_absorb and self.fault_profile is not None:
             event = self.faults.fail(disk, allow_data_loss=True)
             event.at_ms = self.env.now
             if self.datastore is not None:
@@ -252,7 +248,7 @@ class ArrayController:
         self.disks[disk] = self._disk_factory(
             self.env, self.spec, disk_id=disk, policy=self.policy
         )
-        if self._fault_enabled:
+        if self.fault_profile is not None:
             # A replacement is a new spindle: fresh latent/error state,
             # drawing from the same per-slot RNG stream.
             self._attach_fault_state(self.disks[disk])
@@ -478,22 +474,33 @@ class ArrayController:
         still timed on the dead spindle and counted in
         ``stats.straddled_accesses``; its data is lost, which is safe
         because parity arithmetic uses values sampled before the
-        failure.
+        failure. An offset past the mapped capacity raises
+        ``ValueError``.
         """
+        disk = address.disk
         faults = self.faults
-        if address.disk in faults.lost_disks or (
-            address.disk in faults.failed_disks
-            and not faults.replacement_installed_on(address.disk)
+        if disk in faults.lost_disks or (
+            disk in faults.failed_disks and not faults.replacement_installed_on(disk)
         ):
             self.stats.straddled_accesses += 1
-        sector = self.addressing.unit_to_sector(address)
-        if self._fault_enabled:
+        # ArrayAddressing.unit_to_sector inline: its capacity figures are
+        # cached properties, so these reads are plain attribute loads.
+        addressing = self.addressing
+        offset = address.offset
+        if offset >= addressing.mapped_units_per_disk:
+            raise ValueError(
+                f"offset {offset} beyond mapped capacity "
+                f"{addressing.mapped_units_per_disk}"
+            )
+        sectors_per_unit = addressing.sectors_per_unit
+        sector = offset * sectors_per_unit
+        if self.fault_profile is not None:
             return self.env.process(
                 self._resilient_access(address, sector, is_write, kind),
                 name="resilient-access",
             )
-        return self.disks[address.disk].access(
-            sector, self.addressing.sectors_per_unit, is_write=is_write, kind=kind
+        return self.disks[disk].submit(
+            DiskRequest(sector, sectors_per_unit, is_write, kind)
         )
 
     def _resilient_access(self, address: UnitAddress, sector: int,
@@ -631,7 +638,7 @@ class ArrayController:
                 ):
                     target = mirror
             outcome = yield self._disk_access(target, is_write=False)
-            if self._fault_enabled and outcome.error is not None:
+            if self.fault_profile is not None and outcome.error is not None:
                 # Media error (or exhausted retries) on a live disk:
                 # rebuild the unit from its stripe peers in-line.
                 yield from self._repair_read(request, unit_index, logical, target)
@@ -660,7 +667,7 @@ class ArrayController:
             value = self._xor(self._ds_read(peer) for peer in peers)
             peer_events = [self._disk_access(peer, is_write=False) for peer in peers]
             yield self.env.all_of(peer_events)
-            if self._fault_enabled and any(
+            if self.fault_profile is not None and any(
                 event.value.error is not None for event in peer_events
             ):
                 # A surviving peer was unreadable too: with the target
@@ -991,7 +998,7 @@ class ArrayController:
         if events:
             yield self.env.all_of(events)
         errored: typing.List[UnitAddress] = []
-        if self._fault_enabled:
+        if self.fault_profile is not None:
             for a, event in zip(readable, events):
                 if event.value.error is not None:
                     dead.add(a)
@@ -1050,7 +1057,7 @@ class ArrayController:
             return
         if address.disk not in faults.failed_disks and address.disk not in faults.lost_disks:
             outcome = yield self._disk_access(address, is_write=False)
-            if self._fault_enabled and outcome.error is not None:
+            if self.fault_profile is not None and outcome.error is not None:
                 yield from self._repair_read(request, unit_index, logical, address)
                 return
             request.read_values[unit_index] = self._ds_read(address)

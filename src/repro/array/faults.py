@@ -87,6 +87,10 @@ class ArrayFaults:
         #: Active repairable failures in failure order:
         #: disk -> replacement installed?
         self._active: typing.Dict[int, bool] = {}
+        #: All active repairable failures, in failure order: a live,
+        #: read-only view of ``_active``, so ``disk in failed_disks`` is
+        #: an O(1) check that builds nothing.
+        self.failed_disks: typing.KeysView[int] = self._active.keys()
         #: Disks lost beyond the array's redundancy (terminal state).
         self.lost_disks: typing.Set[int] = set()
         self.data_loss_events: typing.List[DataLossEvent] = []
@@ -111,11 +115,6 @@ class ArrayFaults:
     # ------------------------------------------------------------------
     # Multi-failure accessors
     # ------------------------------------------------------------------
-    @property
-    def failed_disks(self) -> typing.Tuple[int, ...]:
-        """All active repairable failures, in failure order."""
-        return tuple(self._active)
-
     @property
     def fault_free(self) -> bool:
         return not self._active and not self.lost_disks

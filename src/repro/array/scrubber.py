@@ -102,7 +102,7 @@ class ParityScrubber:
                 yield env.all_of(unit_events)
                 self.report.stripes_checked += 1
                 num_syndromes = layout.num_syndromes
-                if controller._fault_enabled:
+                if controller.fault_profile is not None:
                     errored = [
                         index
                         for index, event in enumerate(unit_events)

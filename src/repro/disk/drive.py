@@ -11,6 +11,25 @@ The drive is deliberately *not* work-preserving: service time depends
 on the head position left by the previous request and on the platter's
 rotational phase at the moment service starts — the properties the
 paper shows the Muntz & Lui analytic model cannot capture.
+
+Every figure's run pays this per-access path millions of times, so it
+is kept to the fewest Python frames that do simulation work:
+
+- :meth:`Disk.submit` bounds-checks the start sector, derives the
+  cylinder and creates the completion event inline, then pushes onto
+  the scheduler and wakes an idle server;
+- :meth:`Disk._run` is one server loop. It prices each request with the
+  arithmetic of :func:`service_components` written out inline (the same
+  float adds in the same order, with the seek table indexed directly)
+  and does the :class:`DiskStats` bookkeeping in place.
+
+Two cases take the *delegating* path instead, calling
+``self._service_time`` per request: a drive with ``track_buffer=True``,
+and any subclass overriding ``_service_time`` (such as
+:class:`~repro.disk.constant.ConstantRateDisk`). The inline loop
+equals a replay through :func:`service_components` bit for bit, per
+request and in the final :class:`DiskStats`, pinned by a hypothesis
+property in ``tests/disk/test_drive.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +42,7 @@ from repro.disk.scheduling.base import Scheduler, make_scheduler
 from repro.disk.seek import SeekModel
 from repro.disk.specs import DiskSpec
 from repro.metrics.accumulators import WindowedDuration
+from repro.sim.events import PENDING, Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim import Environment
@@ -203,7 +223,14 @@ class DiskRequest:
 
 @dataclass
 class DiskStats:
-    """Cumulative per-disk counters."""
+    """Cumulative per-disk counters, updated in place by :meth:`Disk._run`.
+
+    Per completed request: ``busy_ms`` and ``total_service_ms`` add
+    ``complete_ms - start_service_ms`` (fault penalties included),
+    ``total_queue_wait_ms`` adds ``start_service_ms - submit_ms``, and
+    ``busy_window`` adds the service interval clipped to its
+    ``since_ms``.
+    """
 
     completed: int = 0
     completed_by_kind: typing.Dict[str, int] = field(default_factory=dict)
@@ -219,19 +246,6 @@ class DiskStats:
     #: utilization excludes the warm-up ramp (``busy_ms`` above remains
     #: the raw whole-run total).
     busy_window: WindowedDuration = field(default_factory=WindowedDuration)
-
-    def record(self, request: DiskRequest, seek_ms: float, rotation_ms: float,
-               transfer_ms: float) -> None:
-        self.completed += 1
-        self.completed_by_kind[request.kind] = self.completed_by_kind.get(request.kind, 0) + 1
-        service_ms = request.complete_ms - request.start_service_ms
-        self.busy_ms += service_ms
-        self.busy_window.add(request.start_service_ms, request.complete_ms)
-        self.total_service_ms += service_ms
-        self.total_queue_wait_ms += request.start_service_ms - request.submit_ms
-        self.total_seek_ms += seek_ms
-        self.total_rotation_ms += rotation_ms
-        self.total_transfer_ms += transfer_ms
 
     def mean_service_ms(self) -> float:
         return self.total_service_ms / self.completed if self.completed else 0.0
@@ -261,7 +275,8 @@ class Disk:
         self._sector_time_ms = spec.sector_time_ms
         self._sectors_per_track = spec.sectors_per_track
         self._head_switch_ms = spec.head_switch_ms
-        self._cylinder_of = self.geometry.cylinder_of  # bound once for submit()
+        self._total_sectors = spec.total_sectors
+        self._sectors_per_cylinder = spec.sectors_per_cylinder
         self.scheduler = scheduler if scheduler is not None else make_scheduler(
             policy, spec.cylinders
         )
@@ -297,19 +312,30 @@ class Disk:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, request: DiskRequest):
-        """Queue a request; returns the request's completion event."""
+        """Queue a request; returns the request's completion event.
+
+        Raises ``ValueError`` for an empty transfer or a start sector
+        outside the disk. The bounds check and cylinder division are
+        :meth:`DiskGeometry.cylinder_of` written out inline.
+        """
         if request.sector_count < 1:
             raise ValueError("requests must transfer at least one sector")
+        start_sector = request.start_sector
+        if not 0 <= start_sector < self._total_sectors:
+            raise ValueError(
+                f"sector {start_sector} outside disk of {self._total_sectors} sectors"
+            )
         env = self.env
-        request.done = env.event()
-        request.submit_ms = env.now
-        request.cylinder = self._cylinder_of(request.start_sector)
+        request.done = done = Event(env)
+        request.submit_ms = submit_ms = env.now
+        request.cylinder = start_sector // self._sectors_per_cylinder
         self.scheduler.push(request)
         if self.queue_gauge is not None:
-            self.queue_gauge.add(1, request.submit_ms)
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
-        return request.done
+            self.queue_gauge.add(1, submit_ms)
+        wakeup = self._idle_wakeup
+        if wakeup is not None and wakeup._state == PENDING:
+            wakeup.succeed()
+        return done
 
     def access(self, start_sector: int, sector_count: int, is_write: bool,
                kind: str = KIND_USER):
@@ -330,44 +356,109 @@ class Disk:
     # Server process
     # ------------------------------------------------------------------
     def _run(self):
-        # env / scheduler / stats never change over the drive's life;
-        # the loop runs once per serviced request, so bind them once.
+        # env / scheduler / stats and the spec-derived constants never
+        # change over the drive's life; the loop runs once per serviced
+        # request, so bind them once. `scheduler.pop` stays a per-request
+        # lookup: instrumentation may patch it on the instance.
         env = self.env
         scheduler = self.scheduler
         stats = self.stats
-        service_time = self._service_time
-        timeout = env.timeout
+        completed_by_kind = stats.completed_by_kind
+        split_by_track = self.geometry.split_by_track
+        seek_table = self.seek_model.table
+        sector_time_ms = self._sector_time_ms
+        sectors_per_track = self._sectors_per_track
+        head_switch_ms = self._head_switch_ms
+        snap = sectors_per_track - 1e-6
+        delegating = type(self)._service_time is not Disk._service_time
         while True:
             while not scheduler:
-                self._idle_wakeup = env.event()
-                yield self._idle_wakeup
+                self._idle_wakeup = wakeup = Event(env)
+                yield wakeup
             self._idle_wakeup = None
             request = scheduler.pop(self.head_cylinder, self.direction)
-            request.start_service_ms = env.now
+            request.start_service_ms = start_ms = env.now
             if self.queue_gauge is not None:
-                self.queue_gauge.add(-1, request.start_service_ms)
-            service_ms, seek_ms, rotation_ms, transfer_ms = service_time(request)
-            yield timeout(service_ms)
+                self.queue_gauge.add(-1, start_ms)
+            if delegating or self.track_buffer:
+                service_ms, seek_ms, rotation_ms, transfer_ms = self._service_time(request)
+            else:
+                # service_components() inline: the same float adds in
+                # the same order, so the timings are bit-identical.
+                clock = start_ms
+                seek_ms = rotation_ms = transfer_ms = 0.0
+                cylinder = self.head_cylinder
+                direction = self.direction
+                first = True
+                for run in split_by_track(request.start_sector, request.sector_count):
+                    run_cylinder = run.cylinder
+                    if run_cylinder != cylinder:
+                        if run_cylinder > cylinder:
+                            this_seek = seek_table[run_cylinder - cylinder]
+                            direction = 1
+                        else:
+                            this_seek = seek_table[cylinder - run_cylinder]
+                            direction = -1
+                        cylinder = run_cylinder
+                        seek_ms += this_seek
+                        clock += this_seek
+                    elif not first:
+                        # Same cylinder, next head: the switch settle time.
+                        seek_ms += head_switch_ms
+                        clock += head_switch_ms
+                    first = False
+                    position = (clock / sector_time_ms) % sectors_per_track
+                    slots_to_wait = (run.rotational_start - position) % sectors_per_track
+                    if slots_to_wait > snap:
+                        slots_to_wait = 0.0
+                    wait = slots_to_wait * sector_time_ms
+                    rotation_ms += wait
+                    clock += wait
+                    transfer = run.count * sector_time_ms
+                    transfer_ms += transfer
+                    clock += transfer
+                service_ms = clock - start_ms
+                self.head_cylinder = cylinder
+                self.direction = direction
+            yield Timeout(env, service_ms)
             if self.fault_state is not None:
                 error, penalty_ms = self.fault_state.outcome_for(
                     request.start_sector, request.sector_count, request.is_write
                 )
                 if penalty_ms > 0:
-                    yield env.timeout(penalty_ms)
+                    yield Timeout(env, penalty_ms)
                 request.error = error
-            request.complete_ms = env.now
-            stats.record(request, seek_ms, rotation_ms, transfer_ms)
+            request.complete_ms = complete_ms = env.now
+            # DiskStats bookkeeping, with the busy interval clipped to
+            # the measurement window (WindowedDuration.add inline; the
+            # clock never runs backwards, so the interval is never
+            # inverted).
+            stats.completed += 1
+            kind = request.kind
+            completed_by_kind[kind] = completed_by_kind.get(kind, 0) + 1
+            busy_ms = complete_ms - start_ms
+            stats.busy_ms += busy_ms
+            window = stats.busy_window
+            since_ms = window.since_ms
+            clipped = complete_ms - (since_ms if since_ms > start_ms else start_ms)
+            if clipped > 0.0:
+                window.total_ms += clipped
+            stats.total_service_ms += busy_ms
+            stats.total_queue_wait_ms += start_ms - request.submit_ms
+            stats.total_seek_ms += seek_ms
+            stats.total_rotation_ms += rotation_ms
+            stats.total_transfer_ms += transfer_ms
             request.done.succeed(request)
 
     # ------------------------------------------------------------------
     # Physical timing
     # ------------------------------------------------------------------
-    def _rotational_position(self, at_ms: float) -> float:
-        """Platter angle at an absolute time, in (fractional) sector slots."""
-        return (at_ms / self._sector_time_ms) % self._sectors_per_track
-
     def _service_time(self, request: DiskRequest) -> typing.Tuple[float, float, float, float]:
-        """Compute service time; updates head cylinder and direction."""
+        """Compute service time; updates head cylinder and direction.
+
+        Only the delegating path calls this (``track_buffer=True``);
+        subclasses override it to replace the physical model.
+        """
         runs = self.geometry.split_by_track(request.start_sector, request.sector_count)
         if self.track_buffer:
             tracks = {(run.cylinder, run.track) for run in runs}

@@ -22,10 +22,8 @@ class Scheduler:
         raise NotImplementedError
 
     def __len__(self) -> int:
+        """Queued requests; ``bool(scheduler)`` falls back to this."""
         raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
 
 def make_scheduler(policy: str, cylinders: int) -> Scheduler:

@@ -39,12 +39,16 @@ class CvscanScheduler(Scheduler):
         self._arrival += 1
 
     def pop(self, head_cylinder: int, direction: int):
+        queue = self._queue
+        if len(queue) == 1:
+            # The paper's arrays queue 1-2 requests per disk on average:
+            # a lone request is the argmin without any pricing.
+            return queue.pop()[1]
         # An open-coded argmin over (biased distance, arrival): this runs
         # once per serviced request over an O(queue) scan, and the
         # closure-based min(key=...) spelling showed up in profiles.
         direction = 1 if direction >= 0 else -1
         bias = self.bias
-        queue = self._queue
         best_index = 0
         best_cost = None
         for index, (arrival, request) in enumerate(queue):

@@ -216,7 +216,7 @@ class Reconstructor:
                         for peer in peers
                     ]
                     yield env.all_of(peer_events)
-                    if controller._fault_enabled and any(
+                    if controller.fault_profile is not None and any(
                         event.value.error is not None for event in peer_events
                     ):
                         # A peer was unreadable (latent error survived the

@@ -65,9 +65,7 @@ per-dispatch callback used by the tracing subsystem
 (:class:`~repro.sim.tracing.EnvironmentTracer`); observed runs go
 through the same cohort collection, so traces record the exact
 production dispatch order. The class deliberately has **no**
-``__slots__`` and still honors a legacy ``step`` instance-attribute
-override (external instrumentation) by falling back to a
-``self.step()`` loop.
+``__slots__``.
 """
 
 from __future__ import annotations
@@ -383,16 +381,14 @@ class Environment:
             clock reaches that time. An :class:`Event` runs until that
             event has fired, returning its value.
 
-        When nothing has instrumented the environment, the loops below
-        inline singleton dispatch (the body of :meth:`step`) and batch
-        same-instant events into cohorts (see the module docstring) —
-        one method call per event is the dominant fixed cost of the
-        kernel. The inlined bodies must stay semantically identical to
-        ``step()``; instrumentation attached *mid-run* (no current
-        caller does this) only takes effect on the next ``run()`` call.
+        When no observer is attached, the loops below inline singleton
+        dispatch (the body of :meth:`step`) and batch same-instant
+        events into cohorts (see the module docstring) — one method call
+        per event is the dominant fixed cost of the kernel. The inlined
+        bodies must stay semantically identical to ``step()``; an
+        observer attached *mid-run* (no current caller does this) only
+        takes effect on the next ``run()`` call.
         """
-        if "step" in self.__dict__:
-            return self._run_instrumented(until)
         if self._observers:
             return self._run_observed(until)
         heap = self._heap
@@ -621,29 +617,4 @@ class Environment:
                 raise
         if deadline is not None:
             self._now = deadline
-        return None
-
-    def _run_instrumented(self, until: typing.Union[None, float, Event]) -> object:
-        """The :meth:`run` loops, dispatching through ``self.step()`` so
-        that a legacy ``step``-wrapping instrument observes every event."""
-        if until is None:
-            while self._heap or self._imm:
-                self.step()
-            return None
-        if isinstance(until, Event):
-            stop_on = until
-            while stop_on._state != PROCESSED:
-                if not self._heap and not self._imm:
-                    raise SimulationError("schedule drained before `until` event fired")
-                self.step()
-            return stop_on.value
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-        heap = self._heap
-        # The immediate lane never holds entries beyond `now`, hence
-        # never beyond the deadline (see the inlined loop above).
-        while self._imm or (heap and heap[0][0] <= deadline):
-            self.step()
-        self._now = deadline
         return None

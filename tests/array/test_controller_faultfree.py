@@ -8,6 +8,7 @@ and G writes with no pre-reads for full-stripe aligned writes.
 import pytest
 
 from repro.array.datastore import initial_data_pattern
+from repro.layout.base import UnitAddress
 from tests.conftest import build_array, total_disk_accesses
 
 
@@ -135,3 +136,22 @@ class TestAccounting:
         request = small_array.run_op(controller.read(0))
         assert request.response_ms > 0
         assert request.complete_ms == small_array.env.now
+
+
+class TestDiskAccessBounds:
+    def test_offset_past_mapped_capacity_rejected(self, small_array):
+        controller = small_array.controller
+        mapped = small_array.addressing.mapped_units_per_disk
+        for offset in (mapped, mapped + 1):
+            with pytest.raises(ValueError, match="beyond mapped capacity"):
+                controller._disk_access(UnitAddress(disk=0, offset=offset), is_write=False)
+        assert total_disk_accesses(controller) == 0
+
+    def test_last_mapped_offset_accepted(self, small_array):
+        controller = small_array.controller
+        addressing = small_array.addressing
+        last = UnitAddress(disk=1, offset=addressing.mapped_units_per_disk - 1)
+        request = small_array.run_op(controller._disk_access(last, is_write=True))
+        assert request.start_sector == addressing.unit_to_sector(last)
+        assert request.sector_count == addressing.sectors_per_unit
+        assert request.is_write

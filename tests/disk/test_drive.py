@@ -2,10 +2,12 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.disk import Disk, DiskRequest, IBM_0661, scaled_spec
-from repro.disk.drive import KIND_RECON, KIND_USER
+from repro.disk import IBM_0661, Disk, DiskRequest, DiskStats, scaled_spec
+from repro.disk.drive import KIND_RECON, KIND_USER, service_components
 from repro.sim import Environment
 
 
@@ -150,6 +152,26 @@ class TestStats:
             disk.submit(DiskRequest(start_sector=0, sector_count=0, is_write=False))
 
 
+class TestSubmitBounds:
+    @pytest.mark.parametrize("start", [-1, -96, IBM_0661.total_sectors,
+                                       IBM_0661.total_sectors + 8])
+    def test_start_sector_outside_disk_rejected(self, start):
+        env = Environment()
+        disk = Disk(env, IBM_0661)
+        with pytest.raises(ValueError, match="outside disk"):
+            disk.submit(DiskRequest(start, 1, False))
+        assert disk.queue_length == 0
+
+    def test_first_and_last_sector_accepted(self):
+        env = Environment()
+        disk = Disk(env, IBM_0661, policy="fifo")
+        last = disk.submit(DiskRequest(IBM_0661.total_sectors - 1, 1, False))
+        first = disk.submit(DiskRequest(0, 1, False))
+        env.run()
+        assert last.value.cylinder == IBM_0661.cylinders - 1
+        assert first.value.cylinder == 0
+
+
 class TestDeterminism:
     def test_identical_runs_identical_timings(self):
         def simulate():
@@ -164,3 +186,95 @@ class TestDeterminism:
             return env.now
 
         assert simulate() == simulate()
+
+
+SPT = IBM_0661.sectors_per_track
+SPC = IBM_0661.sectors_per_cylinder
+TOTAL = IBM_0661.total_sectors
+
+
+@st.composite
+def _requests(draw):
+    """One (delay, start, count, is_write, kind) arrival.
+
+    Starts are biased to just before track and cylinder boundaries and
+    counts to whole tracks, so transfers switch heads on one cylinder
+    and cross into the next cylinder, not only stay inside one track.
+    """
+    start = draw(st.one_of(
+        st.integers(min_value=0, max_value=TOTAL - 1),
+        st.integers(min_value=1, max_value=TOTAL // SPT - 1).map(lambda t: t * SPT - 2),
+        st.integers(min_value=1, max_value=TOTAL // SPC - 1).map(lambda c: c * SPC - 3),
+    ))
+    count = draw(st.one_of(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([SPT, SPT + 3, 2 * SPT, SPC + 5]),
+    ))
+    return (
+        draw(st.sampled_from([0.0, 0.5, 3.0, 12.0, 40.0])),
+        start,
+        min(count, TOTAL - start),
+        draw(st.booleans()),
+        draw(st.sampled_from([KIND_USER, KIND_RECON])),
+    )
+
+
+class TestFusedServiceLoop:
+    """The server loop prices requests inline; it must equal a replay
+    of the same service order through ``service_components``."""
+
+    @pytest.mark.parametrize("policy", ["cvscan", "fifo", "sptf"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stream=st.lists(_requests(), min_size=1, max_size=30),
+        since_ms=st.sampled_from([0.0, 25.0, 150.0]),
+    )
+    def test_matches_service_components_replay(self, policy, stream, since_ms):
+        env = Environment()
+        disk = Disk(env, IBM_0661, policy=policy)
+        disk.stats.busy_window.since_ms = since_ms
+        submitted = []
+
+        def arrivals(env):
+            for delay, start, count, is_write, kind in stream:
+                if delay:
+                    yield env.timeout(delay)
+                request = DiskRequest(start, count, is_write, kind)
+                disk.submit(request)
+                submitted.append(request)
+
+        env.process(arrivals(env))
+        env.run()
+
+        expected = DiskStats()
+        expected.busy_window.since_ms = since_ms
+        head, direction = 0, 1
+        free_at = 0.0
+        for request in sorted(submitted, key=lambda r: r.start_service_ms):
+            start = max(request.submit_ms, free_at)
+            service, seek, rotation, transfer, head, direction = service_components(
+                disk.geometry.split_by_track(request.start_sector, request.sector_count),
+                head,
+                direction,
+                start,
+                disk.seek_model.seek_time,
+                IBM_0661.sector_time_ms,
+                SPT,
+                IBM_0661.head_switch_ms,
+            )
+            free_at = start + service
+            assert request.start_service_ms == start
+            assert request.complete_ms == free_at
+
+            expected.completed += 1
+            by_kind = expected.completed_by_kind
+            by_kind[request.kind] = by_kind.get(request.kind, 0) + 1
+            expected.busy_ms += free_at - start
+            expected.busy_window.add(start, free_at)
+            expected.total_service_ms += free_at - start
+            expected.total_queue_wait_ms += start - request.submit_ms
+            expected.total_seek_ms += seek
+            expected.total_rotation_ms += rotation
+            expected.total_transfer_ms += transfer
+        assert disk.stats == expected
+        assert (disk.head_cylinder, disk.direction) == (head, direction)

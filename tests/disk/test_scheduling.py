@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.disk.drive import KIND_RECON, KIND_USER
 from repro.disk.scheduling import (
     CvscanScheduler,
     FifoScheduler,
@@ -17,6 +18,7 @@ from repro.disk.scheduling import (
 class FakeRequest:
     cylinder: int
     tag: int = 0
+    kind: str = KIND_USER
 
 
 def fill(scheduler, cylinders):
@@ -110,3 +112,35 @@ class TestFactory:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             make_scheduler("elevator", cylinders=100)
+
+
+#: Every policy string make_scheduler accepts.
+ALL_POLICIES = [
+    f"{base}{suffix}"
+    for base in ("fifo", "sstf", "sptf", "look", "cvscan")
+    for suffix in ("", "+priority")
+]
+
+
+class TestSingletonQueue:
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("kind", [KIND_USER, KIND_RECON])
+    def test_lone_request_pops_and_empties(self, policy, kind):
+        scheduler = make_scheduler(policy, cylinders=100)
+        request = FakeRequest(cylinder=42, kind=kind)
+        scheduler.push(request)
+        assert len(scheduler) == 1
+        assert scheduler.pop(head_cylinder=7, direction=-1) is request
+        assert len(scheduler) == 0
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_truthiness_follows_len(self, policy):
+        scheduler = make_scheduler(policy, cylinders=100)
+        assert not scheduler
+        scheduler.push(FakeRequest(cylinder=3))
+        assert scheduler
+        scheduler.pop(head_cylinder=0, direction=1)
+        assert not scheduler
+        scheduler.push(FakeRequest(cylinder=3))
+        scheduler.push(FakeRequest(cylinder=9, kind=KIND_RECON))
+        assert scheduler and len(scheduler) == 2
