@@ -23,6 +23,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import typing
 
@@ -112,6 +113,13 @@ def _scale_from_args(args: argparse.Namespace) -> typing.Union[str, ScalePreset]
         return get_scale(args.scale).name
     if args.cylinders < 2:
         raise SystemExit("repro scenario: --cylinders must be >= 2")
+    for flag, value in (
+        ("--duration-ms", args.duration_ms), ("--warmup-ms", args.warmup_ms)
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            raise SystemExit(
+                f"repro scenario: {flag} must be finite and >= 0, got {value}"
+            )
     return ScalePreset(
         name=f"custom-{args.cylinders}cyl",
         cylinders=args.cylinders,

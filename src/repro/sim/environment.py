@@ -56,16 +56,22 @@ remainder at the *front* of the immediate lane — where those entries
 would still have been had they never been collected — and ``close()``
 drops the remainder, exactly as it clears the lanes.
 
-Hot-path notes: the dispatch loops are the most executed code in the
-project, so they read event state through the ``_state``/``_exception``
-slots directly and inline singleton dispatch (a cohort of one — the
-common case for heap-paced workloads) without building a list.
+Hot-path notes: :meth:`Environment.run` has one unobserved loop for
+all three ``until`` modes — ``until`` becomes a stop event and a
+deadline, so the loop carries no per-mode copies. It is the most
+executed code in the project, so it reads event state through the
+``_state``/``_exception`` slots directly and inlines singleton dispatch
+(a cohort of one — the common case for heap-paced workloads) without
+building a list: one inlined body per lane, plus
+:meth:`Environment._dispatch_cohort` for cohorts. The differential
+test ``tests/sim/test_dispatch_differential.py`` pins this loop against
+:meth:`Environment.step`.
 Observation hooks: :meth:`Environment.add_observer` registers a
 per-dispatch callback used by the tracing subsystem
 (:class:`~repro.sim.tracing.EnvironmentTracer`); observed runs go
-through the same cohort collection, so traces record the exact
-production dispatch order. The class deliberately has **no**
-``__slots__``.
+through one observed loop over the same cohort collection, so traces
+record the exact production dispatch order. The class deliberately has
+**no** ``__slots__``.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ class Environment:
         self._seq = 0  # tie-breaker keeps FIFO order among same-time events
         self._closed = False
         #: Per-dispatch observers (see :meth:`add_observer`). Kept out
-        #: of the uninstrumented hot loops entirely: ``run()`` switches
+        #: of the uninstrumented hot loop entirely: ``run()`` switches
         #: to the observed cohort loop only while this list is non-empty.
         self._observers: list = []
 
@@ -184,12 +190,12 @@ class Environment:
         """Register a per-dispatch hook, called as ``observer(event)``.
 
         The hook runs after the event's callbacks have completed and
-        only when dispatch did not raise — the same visibility a
-        wrapper around :meth:`step` used to have. Observers stack;
-        remove them in reverse attach order via :meth:`remove_observer`.
-        While any observer is attached, :meth:`run` dispatches through
-        the observed cohort loop instead of the inlined fast loops, so
-        observers add zero cost to unobserved runs.
+        only when dispatch did not raise, exactly as :meth:`step`
+        calls it. Observers stack; remove them in reverse attach order
+        via :meth:`remove_observer`. While any observer is attached,
+        :meth:`run` dispatches through the observed cohort loop instead
+        of the inlined fast loop, so observers add zero cost to
+        unobserved runs.
         """
         self._observers.append(observer)
 
@@ -301,12 +307,14 @@ class Environment:
         if rest:
             self._imm.extendleft(reversed(rest))
 
-    def _dispatch_cohort(self, cohort: list) -> None:
+    def _dispatch_cohort(self, cohort: list, stop_on: typing.Optional[Event]) -> None:
         """Dispatch a same-instant cohort in ascending ``seq`` order.
 
-        The per-event body must stay semantically identical to
-        ``Event._run_callbacks`` plus the exception check in
-        :meth:`step` — keep them in sync.
+        Stops after ``stop_on`` (the ``until`` event, or ``None``) fires,
+        requeueing the undispatched remainder so a later ``run()``
+        resumes exactly where this one stopped. The per-event body must
+        stay semantically identical to ``Event._run_callbacks`` plus the
+        exception check in :meth:`step` — keep them in sync.
         """
         processed = PROCESSED
         event = None
@@ -330,41 +338,7 @@ class Environment:
                         return
                 elif event._exception is not None and not event.defused:
                     raise event._exception
-        except BaseException:
-            self._requeue_after(cohort, event)
-            raise
-
-    def _dispatch_cohort_until(self, cohort: list, stop_on: Event) -> None:
-        """:meth:`_dispatch_cohort`, stopping after ``stop_on`` fires.
-
-        The undispatched remainder is requeued so a later ``run()``
-        resumes exactly where this one stopped.
-        """
-        processed = PROCESSED
-        event = None
-        try:
-            for event in cohort:
-                event._state = processed
-                callbacks = event._callbacks
-                if callbacks:
-                    event._callbacks = None
-                    if len(callbacks) == 1:  # one waiter is the common case
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    if event is stop_on:
-                        self._requeue_after(cohort, event)
-                        return
-                    # `close()` is only reachable from inside a callback
-                    # (see _dispatch_cohort) — checked here only.
-                    if self._closed:
-                        return
-                elif event._exception is not None and not event.defused:
-                    raise event._exception
-                elif event is stop_on:
+                if event is stop_on:
                     self._requeue_after(cohort, event)
                     return
         except BaseException:
@@ -381,23 +355,38 @@ class Environment:
             clock reaches that time. An :class:`Event` runs until that
             event has fired, returning its value.
 
-        When no observer is attached, the loops below inline singleton
-        dispatch (the body of :meth:`step`) and batch same-instant
-        events into cohorts (see the module docstring) — one method call
-        per event is the dominant fixed cost of the kernel. The inlined
-        bodies must stay semantically identical to ``step()``; an
-        observer attached *mid-run* (no current caller does this) only
-        takes effect on the next ``run()`` call.
+        All three modes share one loop: ``until`` becomes a stop event
+        (``stop_on``) and a ``deadline`` (``inf`` unless ``until`` is a
+        number). The deadline is tested only when a heap entry is
+        popped — immediate entries sit at ``now``, which never exceeds
+        it. When no observer is attached, the loop inlines singleton
+        dispatch (the body of :meth:`step`) for each lane and batches
+        same-instant events into cohorts (see the module docstring) —
+        one method call per event is the dominant fixed cost of the
+        kernel. The two inlined bodies must stay semantically identical
+        to ``step()``; an observer attached *mid-run* (no current
+        caller does this) only takes effect on the next ``run()`` call.
         """
+        stop_on: typing.Optional[Event] = None
+        deadline = float("inf")
+        if isinstance(until, Event):
+            stop_on = until
+        elif until is not None:
+            deadline = float(until)
+            # `not >=` rather than `<`, so a NaN deadline is rejected too.
+            if not deadline >= self._now:
+                raise SimulationError(
+                    f"run(until={deadline}) is in the past (now={self._now})"
+                )
         if self._observers:
-            return self._run_observed(until)
-        heap = self._heap
-        imm = self._imm
-        pop = heappop
-        popleft = imm.popleft
-        processed = PROCESSED
-        if until is None:
-            while True:
+            self._run_observed(stop_on, deadline)
+        else:
+            heap = self._heap
+            imm = self._imm
+            pop = heappop
+            popleft = imm.popleft
+            processed = PROCESSED
+            while stop_on is None or stop_on._state != processed:
                 # Immediate entries carry when == self._now (they drain
                 # before time can advance — see the module docstring),
                 # so the deque branches skip the clock write.
@@ -422,9 +411,13 @@ class Environment:
                         cohort = list(imm)
                         imm.clear()
                 elif heap:
+                    if heap[0][0] > deadline:
+                        break
                     when, _seq, event = pop(heap)
                     self._now = when
                     if heap and heap[0][0] == when:
+                        # Cohort members share `when`, so the deadline
+                        # check on the first entry covers them all.
                         cohort = [event]
                         while heap and heap[0][0] == when:
                             cohort.append(pop(heap)[2])
@@ -441,115 +434,18 @@ class Environment:
                         if event._exception is not None and not event.defused:
                             raise event._exception
                         continue
-                else:
-                    break
-                self._dispatch_cohort(cohort)
-            return None
-        if isinstance(until, Event):
-            stop_on = until
-            while stop_on._state != processed:
-                if imm:
-                    if heap and heap[0][0] <= self._now:
-                        cohort = self._merge_instant()
-                    elif len(imm) == 1:
-                        event = popleft()
-                        event._state = processed
-                        callbacks = event._callbacks
-                        if callbacks:
-                            event._callbacks = None
-                            if len(callbacks) == 1:  # one waiter is the common case
-                                callbacks[0](event)
-                            else:
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._exception is not None and not event.defused:
-                            raise event._exception
-                        continue
-                    else:
-                        cohort = list(imm)
-                        imm.clear()
-                elif heap:
-                    when, _seq, event = pop(heap)
-                    self._now = when
-                    if heap and heap[0][0] == when:
-                        cohort = [event]
-                        while heap and heap[0][0] == when:
-                            cohort.append(pop(heap)[2])
-                    else:
-                        event._state = processed
-                        callbacks = event._callbacks
-                        if callbacks:
-                            event._callbacks = None
-                            if len(callbacks) == 1:  # one waiter is the common case
-                                callbacks[0](event)
-                            else:
-                                for callback in callbacks:
-                                    callback(event)
-                        if event._exception is not None and not event.defused:
-                            raise event._exception
-                        continue
-                else:
+                elif stop_on is not None:
                     raise SimulationError("schedule drained before `until` event fired")
-                self._dispatch_cohort_until(cohort, stop_on)
-            return stop_on.value
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-        while True:
-            if imm:
-                # Immediate entries were appended at times <= now <=
-                # deadline, so this lane can never overshoot; and when
-                # the heap head wins the comparison it is smaller still.
-                if heap and heap[0][0] <= self._now:
-                    cohort = self._merge_instant()
-                elif len(imm) == 1:
-                    event = popleft()
-                    event._state = processed
-                    callbacks = event._callbacks
-                    if callbacks:
-                        event._callbacks = None
-                        if len(callbacks) == 1:  # one waiter is the common case
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    continue
                 else:
-                    cohort = list(imm)
-                    imm.clear()
-            elif heap:
-                if heap[0][0] > deadline:
                     break
-                when, _seq, event = pop(heap)
-                self._now = when
-                if heap and heap[0][0] == when:
-                    # Cohort members share `when`, so the deadline check
-                    # on the first entry covers them all.
-                    cohort = [event]
-                    while heap and heap[0][0] == when:
-                        cohort.append(pop(heap)[2])
-                else:
-                    event._state = processed
-                    callbacks = event._callbacks
-                    if callbacks:
-                        event._callbacks = None
-                        if len(callbacks) == 1:  # one waiter is the common case
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                    if event._exception is not None and not event.defused:
-                        raise event._exception
-                    continue
-            else:
-                break
-            self._dispatch_cohort(cohort)
-        self._now = deadline
+                self._dispatch_cohort(cohort, stop_on)
+        if stop_on is not None:
+            return stop_on.value
+        if until is not None:
+            self._now = deadline
         return None
 
-    def _next_cohort(self, deadline: typing.Optional[float]) -> typing.Optional[list]:
+    def _next_cohort(self, deadline: float) -> typing.Optional[list]:
         """Pop every event at the next instant, in dispatch order.
 
         Returns ``None`` when the schedule is empty or the next instant
@@ -566,7 +462,7 @@ class Environment:
             return cohort
         if heap:
             when = heap[0][0]
-            if deadline is not None and when > deadline:
+            if when > deadline:
                 return None
             cohort = [heappop(heap)[2]]
             while heap and heap[0][0] == when:
@@ -575,30 +471,18 @@ class Environment:
             return cohort
         return None
 
-    def _run_observed(self, until: typing.Union[None, float, Event]) -> object:
-        """The :meth:`run` modes with per-event observer notification.
+    def _run_observed(self, stop_on: typing.Optional[Event], deadline: float) -> None:
+        """:meth:`run`'s loop with per-event observer notification.
 
-        Uses the same cohort collection as the inlined fast loops, so
+        Uses the same cohort collection as the inlined fast loop, so
         observers (tracers) record the exact production dispatch order.
         """
-        stop_on: typing.Optional[Event] = None
-        deadline: typing.Optional[float] = None
-        if isinstance(until, Event):
-            stop_on = until
-        elif until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
-                )
-        while True:
-            if stop_on is not None and stop_on._state == PROCESSED:
-                return stop_on.value
+        while stop_on is None or stop_on._state != PROCESSED:
             cohort = self._next_cohort(deadline)
             if cohort is None:
                 if stop_on is not None:
                     raise SimulationError("schedule drained before `until` event fired")
-                break
+                return
             event = None
             try:
                 for event in cohort:
@@ -609,12 +493,9 @@ class Environment:
                         observe(event)
                     if event is stop_on:
                         self._requeue_after(cohort, event)
-                        return stop_on.value
+                        return
                     if self._closed:
                         break
             except BaseException:
                 self._requeue_after(cohort, event)
                 raise
-        if deadline is not None:
-            self._now = deadline
-        return None

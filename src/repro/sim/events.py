@@ -176,9 +176,9 @@ class Event:
     def _run_callbacks(self) -> None:
         """Invoked by the environment when the event comes off the heap.
 
-        ``Environment.run`` inlines this body in its uninstrumented
-        singleton fast paths and in ``Environment._dispatch_cohort`` —
-        keep all of them in sync.
+        ``Environment.run`` inlines this body twice in its unobserved
+        loop (immediate-lane and heap singletons) and once in
+        ``Environment._dispatch_cohort`` — keep the three in sync.
         """
         self._state = PROCESSED
         callbacks = self._callbacks
@@ -237,9 +237,9 @@ class Timeout(Event):
 class Condition(Event):
     """Base for composite events over a fixed list of child events.
 
-    Subclasses define :meth:`_satisfied`. The condition fires as soon as
-    the predicate holds (checked whenever a child fires). A failing
-    child fails the whole condition immediately.
+    Subclasses define ``_on_child``, called whenever a child fires: it
+    fires the condition as soon as its predicate holds. A failing child
+    fails the whole condition immediately.
     """
 
     __slots__ = ("events", "_fired_count", "_target")
@@ -266,9 +266,6 @@ class Condition(Event):
                 else:
                     cbs.append(on_child)
 
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
     def _collect(self) -> dict:
         """Values of all successfully fired children, keyed by event."""
         return {
@@ -277,30 +274,13 @@ class Condition(Event):
             if e._state == PROCESSED and e._exception is None
         }
 
-    def _on_child(self, event: Event) -> None:
-        if self._state != PENDING:
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self._fired_count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
 
 class AllOf(Condition):
     """Fires when every child event has fired (a join / barrier)."""
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._fired_count == self._target
-
     def _on_child(self, event: Event) -> None:
-        # Specialized copy of Condition._on_child with the predicate
-        # inlined: one method call per child firing adds up when every
-        # striped write joins G events. Semantics must stay identical.
         if self._state != PENDING:
             return
         if event._exception is not None:
@@ -317,12 +297,8 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def _satisfied(self) -> bool:
-        return self._fired_count >= 1
-
     def _on_child(self, event: Event) -> None:
-        # Specialized like AllOf._on_child: the first successful child
-        # always satisfies, so no predicate call at all.
+        # The first successful child always satisfies the condition.
         if self._state != PENDING:
             return
         if event._exception is not None:

@@ -93,3 +93,22 @@ class TestSweepFlags:
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig6-1", "--jobs", "0"])
+
+
+class TestScenarioCustomScale:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--duration-ms", "nan"),
+            ("--duration-ms", "inf"),
+            ("--duration-ms", "-1"),
+            ("--warmup-ms", "nan"),
+            ("--warmup-ms", "-0.5"),
+        ],
+    )
+    def test_non_finite_or_negative_window_rejected(self, flag, value):
+        # A NaN window used to run the simulation without end.
+        with pytest.raises(SystemExit, match=f"{flag} must be finite and >= 0"):
+            main(
+                ["scenario", "--stripe-size", "5", "--cylinders", "64", flag, value]
+            )

@@ -44,6 +44,17 @@ class TestRunModes:
         with pytest.raises(SimulationError):
             env.run(until=1.0)
 
+    def test_run_until_nan_raises(self):
+        # NaN compares false to everything, so it must not slip past the
+        # "in the past" check and run the whole schedule.
+        env = Environment()
+        fired = []
+        env.timeout(5.0).callbacks.append(fired.append)
+        with pytest.raises(SimulationError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        assert fired == []
+
     def test_run_until_unreachable_event_raises(self):
         env = Environment()
         orphan = env.event()  # never succeeded

@@ -313,6 +313,28 @@ class TestSameInstantTimeoutFIFO:
         assert order == ["B", "C"]
 
 
+def _noop_observer(event):
+    pass
+
+
+#: Every loop of Environment.run(): unobserved and observed, each run to
+#: exhaustion (until=None) and to a deadline past the schedule.
+RUN_LOOPS = [
+    (observed, until) for observed in (False, True) for until in (None, 10.0)
+]
+
+
+def _run(env, observed, until):
+    """``env.run(until)``, through the observed loop when ``observed``."""
+    if not observed:
+        return env.run(until)
+    env.add_observer(_noop_observer)
+    try:
+        return env.run(until)
+    finally:
+        env.remove_observer(_noop_observer)
+
+
 class TestMidCohortControlFlow:
     def _tagged_timeout(self, env, order, tag):
         t = env.timeout(0.0)
@@ -320,44 +342,49 @@ class TestMidCohortControlFlow:
         return t
 
     def test_close_mid_cohort_drops_remainder(self):
-        env = Environment()
-        order = []
-        self._tagged_timeout(env, order, 1)
-        closer = env.timeout(0.0)
-        closer.callbacks.append(lambda e: env.close())
-        self._tagged_timeout(env, order, 3)
-        self._tagged_timeout(env, order, 4)
-        env.run()
-        assert order == [1]
-        assert env.closed
+        for observed, until in RUN_LOOPS:
+            env = Environment()
+            order = []
+            self._tagged_timeout(env, order, 1)
+            closer = env.timeout(0.0)
+            closer.callbacks.append(lambda e, env=env: env.close())
+            self._tagged_timeout(env, order, 3)
+            self._tagged_timeout(env, order, 4)
+            _run(env, observed, until)
+            assert order == [1], (observed, until)
+            assert env.closed
 
     def test_exception_mid_cohort_requeues_remainder(self):
-        env = Environment()
-        order = []
-        self._tagged_timeout(env, order, 1)
-        boom = env.event()
-        boom.fail(RuntimeError("mid-cohort"))
-        self._tagged_timeout(env, order, 3)
-        self._tagged_timeout(env, order, 4)
-        with pytest.raises(RuntimeError, match="mid-cohort"):
-            env.run()
-        # The undispatched remainder survived the exception and fires,
-        # in order, on the next run.
-        assert order == [1]
-        env.run()
-        assert order == [1, 3, 4]
+        for observed, until in RUN_LOOPS:
+            env = Environment()
+            order = []
+            self._tagged_timeout(env, order, 1)
+            boom = env.event()
+            boom.fail(RuntimeError("mid-cohort"))
+            self._tagged_timeout(env, order, 3)
+            self._tagged_timeout(env, order, 4)
+            with pytest.raises(RuntimeError, match="mid-cohort"):
+                _run(env, observed, until)
+            # The undispatched remainder survived the exception and
+            # fires, in order, on the next run.
+            assert order == [1], (observed, until)
+            _run(env, observed, until)
+            assert order == [1, 3, 4], (observed, until)
 
     def test_until_event_mid_cohort_requeues_remainder(self):
-        env = Environment()
-        order = []
-        self._tagged_timeout(env, order, 1)
-        target = env.event()
-        target.succeed("stop-here")
-        self._tagged_timeout(env, order, 3)
-        assert env.run(until=target) == "stop-here"
-        assert order == [1]
-        env.run()
-        assert order == [1, 3]
+        # The stop itself is an until=event run; the resuming run goes
+        # through every loop.
+        for observed, until in RUN_LOOPS:
+            env = Environment()
+            order = []
+            self._tagged_timeout(env, order, 1)
+            target = env.event()
+            target.succeed("stop-here")
+            self._tagged_timeout(env, order, 3)
+            assert _run(env, observed, target) == "stop-here"
+            assert order == [1], (observed, until)
+            _run(env, observed, until)
+            assert order == [1, 3], (observed, until)
 
 
 class TestClosedEnvironment:
