@@ -332,7 +332,11 @@ class ArrayController:
             (self._write_latency if request.is_write else self._read_latency).record(
                 now - request.submit_ms
             )
-        request.done.succeed(request)
+        # Unlink before firing: the event's value is the request, and
+        # both links together would be a cycle only the GC can free.
+        done = request.done
+        request.done = None
+        done.succeed(request)
 
     def _plan_write(self, request: UserRequest):
         """Split a write into large-write groups and per-unit updates."""

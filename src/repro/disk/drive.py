@@ -15,13 +15,20 @@ paper shows the Muntz & Lui analytic model cannot capture.
 Every figure's run pays this per-access path millions of times, so it
 is kept to the fewest Python frames that do simulation work:
 
-- :meth:`Disk.submit` bounds-checks the start sector, derives the
-  cylinder and creates the completion event inline, then pushes onto
-  the scheduler and wakes an idle server;
-- :meth:`Disk._run` is one server loop. It prices each request with the
-  arithmetic of :func:`service_components` written out inline (the same
-  float adds in the same order, with the seek table indexed directly)
-  and does the :class:`DiskStats` bookkeeping in place.
+- :meth:`Disk.submit` splits the transfer into its track runs once
+  (:meth:`~repro.disk.geometry.DiskGeometry.split_by_track`, which
+  also bounds-checks both ends), keeps them in ``request.runs``,
+  derives the cylinder and creates the completion event inline, then
+  pushes onto the scheduler and wakes an idle server;
+- :meth:`Disk._run` is one server loop. It prices each request from
+  its ``runs`` with the arithmetic of :func:`service_components`
+  written out inline (the same float adds in the same order, with the
+  seek table indexed directly) and does the :class:`DiskStats`
+  bookkeeping in place;
+- a completed request lets go of its completion event before
+  succeeding it (``request.done = None``): the event's value is the
+  request, so keeping both links would make every request a reference
+  cycle that only the cyclic garbage collector can free.
 
 Two cases take the *delegating* path instead, calling
 ``self._service_time`` per request: a drive with ``track_buffer=True``,
@@ -114,7 +121,6 @@ def queue_service_times(
     requests: typing.Iterable,
     head_cylinder: int,
     start_ms: float,
-    split_by_track: typing.Callable[[int, int], typing.Sequence],
     seek_table: typing.Sequence[float],
     sector_time_ms: float,
     sectors_per_track: int,
@@ -123,7 +129,9 @@ def queue_service_times(
     """Service time of each queued request, were it serviced next.
 
     Every candidate is priced from the same head cylinder and platter
-    phase. The result equals ``service_components(...)[0]`` per request
+    phase from the track runs :meth:`Disk.submit` stored in
+    ``request.runs``, so a queued request is split once, not on every
+    pop. The result equals ``service_components(...)[0]`` per request
     bit for bit (pinned by ``tests/disk/test_sptf.py``): one loop with
     the seek table indexed directly and no per-candidate call.
     """
@@ -133,7 +141,7 @@ def queue_service_times(
         clock = start_ms
         cylinder = head_cylinder
         first = True
-        for run in split_by_track(request.start_sector, request.sector_count):
+        for run in request.runs:
             if run.cylinder != cylinder:
                 clock += seek_table[abs(run.cylinder - cylinder)]
                 cylinder = run.cylinder
@@ -153,7 +161,11 @@ def queue_service_times(
 class DiskRequest:
     """One physical disk access.
 
-    ``done`` fires with the completion time when the transfer finishes.
+    ``done`` is the completion event, attached at submit; it fires with
+    the request as its value, and the drive clears ``done`` just
+    before firing it. ``runs`` holds the transfer's per-track
+    :class:`~repro.disk.geometry.SectorRange` decomposition, also set
+    at submit.
 
     A plain ``__slots__`` class rather than a dataclass: hundreds of
     thousands are allocated per scenario, and the per-instance dict is
@@ -172,6 +184,7 @@ class DiskRequest:
         "complete_ms",
         "cylinder",
         "error",
+        "runs",
     )
 
     def __init__(
@@ -200,6 +213,7 @@ class DiskRequest:
         #: (see :mod:`repro.faults.state`). Only ever set when the disk
         #: carries a fault state.
         self.error = error
+        self.runs: typing.Optional[tuple] = None  # set at submit time
 
     def __repr__(self) -> str:
         op = "write" if self.is_write else "read"
@@ -275,8 +289,7 @@ class Disk:
         self._sector_time_ms = spec.sector_time_ms
         self._sectors_per_track = spec.sectors_per_track
         self._head_switch_ms = spec.head_switch_ms
-        self._total_sectors = spec.total_sectors
-        self._sectors_per_cylinder = spec.sectors_per_cylinder
+        self._split_by_track = self.geometry.split_by_track
         self.scheduler = scheduler if scheduler is not None else make_scheduler(
             policy, spec.cylinders
         )
@@ -314,21 +327,17 @@ class Disk:
     def submit(self, request: DiskRequest):
         """Queue a request; returns the request's completion event.
 
-        Raises ``ValueError`` for an empty transfer or a start sector
-        outside the disk. The bounds check and cylinder division are
-        :meth:`DiskGeometry.cylinder_of` written out inline.
+        Raises ``ValueError`` for an empty transfer, a start sector
+        outside the disk, or a transfer running past the disk's end,
+        before anything is queued.
         """
-        if request.sector_count < 1:
-            raise ValueError("requests must transfer at least one sector")
-        start_sector = request.start_sector
-        if not 0 <= start_sector < self._total_sectors:
-            raise ValueError(
-                f"sector {start_sector} outside disk of {self._total_sectors} sectors"
-            )
+        request.runs = runs = self._split_by_track(
+            request.start_sector, request.sector_count
+        )
         env = self.env
         request.done = done = Event(env)
         request.submit_ms = submit_ms = env.now
-        request.cylinder = start_sector // self._sectors_per_cylinder
+        request.cylinder = runs[0].cylinder
         self.scheduler.push(request)
         if self.queue_gauge is not None:
             self.queue_gauge.add(1, submit_ms)
@@ -364,7 +373,6 @@ class Disk:
         scheduler = self.scheduler
         stats = self.stats
         completed_by_kind = stats.completed_by_kind
-        split_by_track = self.geometry.split_by_track
         seek_table = self.seek_model.table
         sector_time_ms = self._sector_time_ms
         sectors_per_track = self._sectors_per_track
@@ -390,7 +398,7 @@ class Disk:
                 cylinder = self.head_cylinder
                 direction = self.direction
                 first = True
-                for run in split_by_track(request.start_sector, request.sector_count):
+                for run in request.runs:
                     run_cylinder = run.cylinder
                     if run_cylinder != cylinder:
                         if run_cylinder > cylinder:
@@ -448,7 +456,10 @@ class Disk:
             stats.total_seek_ms += seek_ms
             stats.total_rotation_ms += rotation_ms
             stats.total_transfer_ms += transfer_ms
-            request.done.succeed(request)
+            # Unlink before firing: the event's value is the request.
+            done = request.done
+            request.done = None
+            done.succeed(request)
 
     # ------------------------------------------------------------------
     # Physical timing
@@ -459,7 +470,7 @@ class Disk:
         Only the delegating path calls this (``track_buffer=True``);
         subclasses override it to replace the physical model.
         """
-        runs = self.geometry.split_by_track(request.start_sector, request.sector_count)
+        runs = request.runs
         if self.track_buffer:
             tracks = {(run.cylinder, run.track) for run in runs}
             if (

@@ -10,7 +10,10 @@ target sector is about to rotate under the head).
 
 Each pop prices the whole queue in one scalar loop,
 :func:`repro.disk.drive.queue_service_times`, which returns exactly the
-times :func:`~repro.disk.drive.service_components` would.
+times :func:`~repro.disk.drive.service_components` would. It reads each
+candidate's track runs from ``request.runs``, split once by
+:meth:`~repro.disk.drive.Disk.submit`: a request that waits through
+many pops is not re-split on each of them.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ class SptfScheduler(Scheduler):
 
     Ties break toward the earlier arrival: the queue is kept in arrival
     order and the pop takes the first strict minimum. Requires
-    :meth:`bind_disk` (the drive's geometry, seek table, clock and spec
-    price the candidates); :class:`~repro.disk.drive.Disk` binds any
-    scheduler that asks during construction.
+    :meth:`bind_disk` (the drive's seek table, clock and spec price the
+    candidates) and queued requests carrying their ``runs``, as
+    :meth:`~repro.disk.drive.Disk.submit` leaves them;
+    :class:`~repro.disk.drive.Disk` binds any scheduler that asks during
+    construction.
     """
 
     def __init__(self):
@@ -41,7 +46,6 @@ class SptfScheduler(Scheduler):
         self._disk = disk
         spec = disk.spec
         self._pricing = (
-            disk.geometry.split_by_track,
             disk.seek_model.table,
             spec.sector_time_ms,
             spec.sectors_per_track,

@@ -36,7 +36,14 @@ ordering** (pinned by ``tests/integration/test_golden_trace.py``):
   :class:`Condition` and ``Process._resume`` do;
 - ``defused`` is likewise lazy (a property over a ``_defused`` slot set
   only when a failure is actually consumed), saving a store on every
-  construction.
+  construction;
+- per-request objects (events, processes, requests) must not form
+  reference cycles: reference counting then frees each one as soon as
+  it is done, and the cyclic garbage collector, whose pauses grow with
+  the number of live tracked objects, finds nothing to do. An event
+  whose value is the object holding it (a request's ``done``) is the
+  usual trap: the holder clears its link before firing the event.
+  Pinned by ``tests/integration/test_no_reference_cycles.py``.
 """
 
 from __future__ import annotations

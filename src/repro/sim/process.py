@@ -14,6 +14,16 @@ of its kickoff event without calling ``Event.__init__``, and schedules
 the kickoff inline. Both must schedule exactly the same events in the same order as
 the straightforward ``succeed()`` spelling — bit-identical ordering is
 pinned by ``tests/integration/test_golden_trace.py``.
+
+Per-request objects must not form reference cycles, so reference
+counting frees them the moment they are done; anything only the cyclic
+garbage collector can free makes its pauses grow with the request rate.
+A live process is a cycle by construction (``_resume_cb`` is a bound
+method of the process, and the generator's frame usually holds the
+process), so every exit of ``_resume`` that finishes the process —
+return, exception, or a non-event yield — clears ``_resume_cb``,
+``_send``, ``_throw`` and ``_generator`` before firing it. Pinned by
+``tests/integration/test_no_reference_cycles.py``.
 """
 
 from __future__ import annotations
@@ -100,10 +110,13 @@ class Process(Event):
                 event.defused = True
                 next_event = self._throw(event._exception)
         except StopIteration as stop:
+            # Drop the self-references (see the module docstring).
+            self._resume_cb = self._send = self._throw = self._generator = None
             self.succeed(stop.value)
             return
         # simlint: disable=ERR001 (kernel trampoline: the caught exception is forwarded verbatim into the process event via self.fail, so DataLossError propagates to whoever joins the process; nothing is swallowed)
         except BaseException as exc:
+            self._resume_cb = self._send = self._throw = self._generator = None
             self.fail(exc)
             return
         # Duck-typed validity check: reading `_state` replaces an
@@ -116,6 +129,7 @@ class Process(Event):
                 f"process {self.name!r} yielded {next_event!r}, which is not an Event"
             )
             self._generator.close()
+            self._resume_cb = self._send = self._throw = self._generator = None
             self.fail(error)
             return
         self._waiting_on = next_event

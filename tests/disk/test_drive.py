@@ -171,6 +171,37 @@ class TestSubmitBounds:
         assert last.value.cylinder == IBM_0661.cylinders - 1
         assert first.value.cylinder == 0
 
+    @pytest.mark.parametrize("start, count", [(IBM_0661.total_sectors - 1, 8),
+                                              (IBM_0661.total_sectors - 8, 9)])
+    def test_transfer_past_last_sector_rejected(self, start, count):
+        # Rejected at submit, not inside the server loop, where the
+        # error would end the drive's server and hang every later request.
+        env = Environment()
+        disk = Disk(env, IBM_0661, policy="fifo")
+        with pytest.raises(ValueError, match="outside disk"):
+            disk.submit(DiskRequest(start, count, False))
+        assert disk.queue_length == 0
+        later = disk.submit(DiskRequest(start, IBM_0661.total_sectors - start, False))
+        env.run()
+        assert later.processed
+
+    @given(
+        start=st.integers(min_value=0, max_value=IBM_0661.total_sectors - 1),
+        count=st.one_of(
+            st.integers(min_value=1, max_value=8),
+            st.sampled_from([IBM_0661.sectors_per_track + 3,
+                             IBM_0661.sectors_per_cylinder + 5]),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_submit_splits_the_transfer_once(self, start, count):
+        count = min(count, IBM_0661.total_sectors - start)
+        disk = Disk(Environment(), IBM_0661)
+        request = DiskRequest(start, count, False)
+        disk.submit(request)
+        assert request.runs == disk.geometry.split_by_track(start, count)
+        assert request.cylinder == request.runs[0].cylinder
+
 
 class TestDeterminism:
     def test_identical_runs_identical_timings(self):

@@ -17,12 +17,19 @@ SEEK = SeekModel.for_spec(IBM_0661)
 
 
 class Candidate(typing.NamedTuple):
+    """A queued request as SPTF sees it: ``runs`` as Disk.submit sets it."""
+
     start_sector: int
     sector_count: int
+    runs: typing.Tuple
+
+
+def _candidate(start: int, count: int) -> Candidate:
+    return Candidate(start, count, GEOMETRY.split_by_track(start, count))
 
 
 def _clamp(start: int, count: int) -> Candidate:
-    return Candidate(start, min(count, TOTAL - start))
+    return _candidate(start, min(count, TOTAL - start))
 
 
 def _reference_time(request, head_cylinder: int, start_ms: float) -> float:
@@ -44,7 +51,6 @@ def _priced(queue, head_cylinder: int, start_ms: float) -> typing.List[float]:
         queue,
         head_cylinder,
         start_ms,
-        GEOMETRY.split_by_track,
         SEEK.table,
         IBM_0661.sector_time_ms,
         IBM_0661.sectors_per_track,
@@ -79,7 +85,6 @@ class _FakeDisk:
     """The attributes SptfScheduler.bind_disk reads off a Disk."""
 
     spec = IBM_0661
-    geometry = GEOMETRY
     seek_model = SEEK
 
     def __init__(self, now: float = 12.5):
@@ -102,11 +107,11 @@ class TestQueuePricing:
         # single-sector neighbour must be priced from the untouched state.
         boundary = IBM_0661.sectors_per_cylinder
         queue = [
-            Candidate(5, 1),
-            Candidate(10 * SPT, 3 * SPT),
-            Candidate(boundary - SPT // 2, 2 * SPT),
+            _candidate(5, 1),
+            _candidate(10 * SPT, 3 * SPT),
+            _candidate(boundary - SPT // 2, 2 * SPT),
         ]
-        assert GEOMETRY.split_by_track(*queue[2])[-1].cylinder == 1
+        assert queue[2].runs[-1].cylinder == 1
         assert _priced(queue, 3, 7.25) == [
             _reference_time(request, 3, 7.25) for request in queue
         ]
@@ -135,7 +140,7 @@ class TestSptfPop:
     def test_tie_breaks_toward_earlier_arrival(self):
         scheduler = SptfScheduler()
         scheduler.bind_disk(_FakeDisk())
-        first, twin = Candidate(4 * SPT, 2), Candidate(4 * SPT, 2)
+        first, twin = _candidate(4 * SPT, 2), _candidate(4 * SPT, 2)
         scheduler.push(first)
         scheduler.push(twin)
         assert scheduler.pop(0, 1) is first
@@ -143,14 +148,14 @@ class TestSptfPop:
 
     def test_pop_without_bind_disk_raises(self):
         scheduler = SptfScheduler()
-        scheduler.push(Candidate(0, 1))
-        scheduler.push(Candidate(100, 1))
+        scheduler.push(_candidate(0, 1))
+        scheduler.push(_candidate(100, 1))
         with pytest.raises(RuntimeError, match="bind_disk"):
             scheduler.pop(0, 1)
 
     def test_singleton_queue_skips_pricing(self):
         # One queued request needs no pricing, hence no bound disk.
         scheduler = SptfScheduler()
-        only = Candidate(7, 2)
+        only = _candidate(7, 2)
         scheduler.push(only)
         assert scheduler.pop(0, 1) is only
