@@ -29,7 +29,6 @@ BAD_USAGE_CASES = [
     pytest.param(
         ["report", "/no/such/path/anywhere.json"], id="report-missing-path"
     ),
-    pytest.param(["bench", "--scale", "galactic"], id="bench-bad-scale"),
     pytest.param(["serve", "--port", "99999"], id="serve-bad-port"),
     pytest.param(["serve", "--workers", "0"], id="serve-bad-workers"),
     pytest.param(["serve", "--max-jobs", "0"], id="serve-bad-max-jobs"),
